@@ -67,15 +67,6 @@ const (
 	SchemeCharonRef  Scheme = "charon-ref"
 )
 
-// AllSchemes lists every scheme in presentation order (the paper's eight,
-// the Sec. 7 latency-feedback extension, and the two non-paper contenders —
-// stateless Concury and switch-assisted Charon).
-func AllSchemes() []Scheme {
-	return []Scheme{SchemeECMP, SchemeEdgeFlowlet, SchemeCloveECN, SchemeCloveINT,
-		SchemePresto, SchemeMPTCP, SchemeCONGA, SchemeLetFlow, SchemeCloveLatency,
-		SchemeConcury, SchemeCharon}
-}
-
 // Config parameterizes a cluster.
 type Config struct {
 	Seed   int64
@@ -133,15 +124,11 @@ type Config struct {
 	// FreezeWeights disables Clove weight adaptation (WeightTableConfig
 	// .Frozen) — differential tests only.
 	FreezeWeights bool
-	// Domains shards the cluster across event domains (one per leaf, one per
-	// spine) on a sim.Engine instead of one Simulator; RunMix then uses the
-	// all-to-all sharded driver (mixdomains.go). Implied — and forced — for
-	// topologies with more than two leaves, which the legacy two-leaf driver
-	// cannot run. Results are bit-identical at any DomainWorkers but are a
-	// different (sharded) simulation than single-sim mode at the same seed.
-	Domains bool
 	// DomainWorkers is how many OS threads execute domain windows in sharded
-	// mode (<=1 = serial). Any value produces identical results.
+	// mode (<=1 = serial). Any value produces identical results. A topology
+	// of more than two leaves always builds sharded (one event domain per
+	// leaf and per spine on a sim.Engine); that is a different simulation
+	// than single-sim mode at the same seed.
 	DomainWorkers int
 	// ServersPerClient caps each client's persistent-connection fan-out in
 	// the sharded mix driver (0 = min(32, hosts on other leaves)); the
@@ -164,7 +151,8 @@ type Cluster struct {
 	Recorder  *stats.FCTRecorder
 	// Oracle is the installed correctness oracle, nil unless Config.Oracle.
 	Oracle *oracle.Oracle
-	// Trace is the installed tracer, nil unless Config.Telemetry is set.
+	// Trace is the single-sim run's tracer, nil unless Config.Telemetry is
+	// set; sharded runs keep one tracer per domain (see ExportTraces).
 	Trace *telemetry.Tracer
 
 	rtt      sim.Time
@@ -179,11 +167,14 @@ type Cluster struct {
 	// domain windows after them, so no synchronization is needed.
 	loadScale float64
 
-	// Sharded-mode state: per-domain tracers (domain order) and per-domain
-	// connection lists (by client's domain, open order) for race-free,
-	// deterministic telemetry sampling.
-	domTraces []*telemetry.Tracer
-	domConns  [][]*Conn
+	// scheme is Cfg.Scheme's table entry.
+	scheme *schemeSpec
+
+	// Per-event-loop telemetry state (one loop in single-sim mode, one per
+	// domain in sharded mode): the loop's tracer and the connections whose
+	// client it owns, in open order, for race-free, deterministic sampling.
+	traces    []*telemetry.Tracer
+	loopConns [][]*Conn
 }
 
 type connKey struct {
@@ -192,17 +183,19 @@ type connKey struct {
 }
 
 // New builds the cluster: topology, vswitches with the scheme's policy, and
-// (for CONGA) the in-network fabric. Link failure, if configured, is applied
-// before routing converges, as in the paper's asymmetric experiments.
+// the scheme's in-network fabric, if any. Link failure, if configured, is
+// applied before routing converges, as in the paper's asymmetric
+// experiments.
+//
+// A topology of more than two leaves builds sharded: netem.BuildLeafSpineSharded
+// puts each leaf (switch, hosts, and everything stacked on them) and each
+// spine in its own event domain of a sim.Engine, and the run executes in
+// conservative windows bounded by the trunk propagation delay (DESIGN.md
+// §4d). Every other step is the same in both modes: per-host components
+// schedule on simFor(h), which is the one Simulator in single-sim mode.
 func New(cfg Config) *Cluster {
 	if cfg.Topo.Leaves == 0 {
 		cfg.Topo = netem.PaperTestbed(0.01)
-	}
-	if cfg.Topo.Leaves > 2 {
-		cfg.Domains = true
-	}
-	if cfg.Domains {
-		return newSharded(cfg)
 	}
 	if cfg.PathsK == 0 {
 		cfg.PathsK = 4
@@ -210,25 +203,41 @@ func New(cfg Config) *Cluster {
 	if cfg.MPTCPSubflows == 0 {
 		cfg.MPTCPSubflows = tcp.DefaultSubflows
 	}
-	s := sim.New(cfg.Seed)
-	ls := netem.BuildLeafSpine(s, cfg.Topo)
 	c := &Cluster{
 		Cfg:       cfg,
-		Sim:       s,
-		LS:        ls,
 		Recorder:  &stats.FCTRecorder{},
-		rtt:       ls.BaseRTT(),
 		conns:     map[connKey]*Conn{},
 		nextPort:  10000,
 		loadScale: 1,
+		scheme:    cfg.Scheme.spec(),
 	}
+	if cfg.Topo.Leaves > 2 {
+		if !c.scheme.sharded {
+			panic(fmt.Sprintf("cluster: %s is not supported in domain (sharded) mode: its leaf-to-leaf congestion tables span event domains", cfg.Scheme))
+		}
+		c.Eng = sim.NewEngine(cfg.Seed, cfg.Topo.FabricDelay())
+		c.LS = netem.BuildLeafSpineSharded(c.Eng, cfg.Topo)
+	} else {
+		c.Sim = sim.New(cfg.Seed)
+		c.LS = netem.BuildLeafSpine(c.Sim, cfg.Topo)
+	}
+	c.rtt = c.LS.BaseRTT()
 	// The oracle attaches before anything else happens (in particular before
 	// FailPaperLink) so its link-state tracking observes every transition.
 	if cfg.Oracle {
 		c.Oracle = oracle.New()
-		ls.Pool().SetObserver(c.Oracle)
-		s.SetEventHook(c.Oracle.AfterEvent)
-		if connConsistent(cfg.Scheme) {
+		if c.Eng != nil {
+			// No per-event hook: it only drives the periodic live-counter
+			// self-audit, which CheckOracle's end-of-run Check covers.
+			obs := oracle.NewLocked(c.Oracle)
+			for _, p := range c.LS.Pools() {
+				p.SetObserver(obs)
+			}
+		} else {
+			c.LS.Pool().SetObserver(c.Oracle)
+			c.Sim.SetEventHook(c.Oracle.AfterEvent)
+		}
+		if c.scheme.connConsistent {
 			c.Oracle.RequireConnConsistency()
 		}
 	}
@@ -244,17 +253,15 @@ func New(cfg Config) *Cluster {
 	if cfg.Beta == 0 {
 		c.Cfg.Beta = 1.0 / 3.0
 	}
+	// Endpoints take their host's packet pool in OpenConn.
 	c.tcpCfg = cfg.TCP
 	if c.tcpCfg.MSS == 0 {
 		c.tcpCfg = tcp.DefaultConfig()
 	}
 	c.tcpCfg.ECN = cfg.TenantECN
-	// All transport endpoints draw segments from (and release them to) the
-	// topology's shared packet free list.
-	c.tcpCfg.Pool = ls.Pool()
 
 	if cfg.AsymmetricFailure {
-		ls.FailPaperLink()
+		c.LS.FailPaperLink()
 	}
 
 	vcfg := vswitch.Config{
@@ -262,17 +269,10 @@ func New(cfg Config) *Cluster {
 		FlowletGap:         c.Cfg.FlowletGap,
 		RelayInterval:      c.Cfg.RelayInterval,
 		StandaloneFeedback: true,
-	}
-	switch cfg.Scheme {
-	case SchemeCloveECN, SchemeCloveINT, SchemeCloveUniform:
-		vcfg.MaskECN = true
-		vcfg.RequestINT = cfg.Scheme == SchemeCloveINT
-	case SchemeCloveLatency:
-		vcfg.MaskECN = true
-		vcfg.MeasureLatency = true
-		vcfg.AdaptiveFlowletGap = cfg.AdaptiveFlowletGap
-	default:
-		vcfg.MaskECN = false
+		MaskECN:            c.scheme.maskECN,
+		RequestINT:         c.scheme.requestINT,
+		MeasureLatency:     c.scheme.measureLatency,
+		AdaptiveFlowletGap: c.scheme.measureLatency && cfg.AdaptiveFlowletGap,
 	}
 
 	// Weight-table timescales key off the base RTT: congestion memory of a
@@ -288,68 +288,15 @@ func New(cfg Config) *Cluster {
 		wtCfg.UtilAge = cfg.UtilAge
 	}
 
-	for i, h := range ls.Hosts() {
-		var pol vswitch.PathPolicy
-		switch cfg.Scheme {
-		case SchemeECMP, SchemeMPTCP, SchemeCONGA, SchemeLetFlow:
-			pol = vswitch.NewECMP()
-		case SchemeEdgeFlowlet:
-			pol = vswitch.NewEdgeFlowlet()
-		case SchemeCloveECN:
-			pol = vswitch.NewCloveECN(wtCfg)
-		case SchemeCloveUniform:
-			pol = vswitch.NewCloveUniform()
-		case SchemeCloveINT, SchemeCloveLatency:
-			// Both are "least reflected metric" policies: INT stamps max
-			// link utilization; the latency variant reflects one-way delay.
-			pol = vswitch.NewCloveINT(wtCfg, s.Now)
-		case SchemePresto:
-			pol = vswitch.NewPresto(s)
-		case SchemeConcury:
-			pol = vswitch.NewConcury()
-		case SchemeConcuryRef:
-			pol = vswitch.NewConcuryRef()
-		case SchemeCharon:
-			pol = vswitch.NewCharon(wtCfg.UtilAge, s.Now)
-		case SchemeCharonRef:
-			pol = vswitch.NewCharonRef(wtCfg.UtilAge, s.Now)
-		default:
-			panic(fmt.Sprintf("cluster: unknown scheme %q", cfg.Scheme))
-		}
-		_ = i
-		c.VSwitches = append(c.VSwitches, vswitch.New(s, h, vcfg, pol))
+	for i, h := range c.LS.Hosts() {
+		s := c.simFor(packet.HostID(i))
+		c.VSwitches = append(c.VSwitches, vswitch.New(s, h, vcfg, c.scheme.policy(wtCfg, s)))
 	}
-
-	switch cfg.Scheme {
-	case SchemeCONGA:
-		// Hardware flowlet detection runs at a finer timescale than the
-		// software edge (the CONGA ASIC reroutes within a fraction of an
-		// RTT); a quarter of the edge gap reproduces its advantage.
-		c.Conga = conga.Attach(s, ls, conga.Config{FlowletGap: c.Cfg.FlowletGap / 4})
-	case SchemeLetFlow:
-		attachLetFlow(s, ls, c.Cfg.FlowletGap)
-	case SchemeCharon, SchemeCharonRef:
-		attachCharonStamping(ls)
+	if c.scheme.fabric != nil {
+		c.scheme.fabric(c)
 	}
 	c.setupTelemetry()
 	return c
-}
-
-// attachCharonStamping turns on fabric-initiated load stamping at every
-// leaf. The first-hop leaf enables INT on a data packet, and the ordinary
-// stamping then records the max egress utilization across that hop and
-// every later one — the same telemetry Clove-INT requests from the edge,
-// initiated by the switches instead.
-func attachCharonStamping(ls *netem.LeafSpine) {
-	for _, sw := range ls.Leaves {
-		sw.SetLoadStamp(true)
-	}
-}
-
-// connConsistent reports whether scheme promises per-connection path
-// stability (the oracle's conn-consistency invariant applies).
-func connConsistent(s Scheme) bool {
-	return s == SchemeConcury || s == SchemeConcuryRef
 }
 
 // RTT returns the unloaded base round-trip time of the fabric.
@@ -374,20 +321,9 @@ func (c *Cluster) Quiesce() {
 	for _, pr := range c.Probers {
 		pr.Stop()
 	}
-	c.Trace.Stop()
-	for _, tr := range c.domTraces {
+	for _, tr := range c.traces {
 		tr.Stop()
 	}
-}
-
-// needsPaths reports whether the scheme consumes discovered path sets.
-func (c *Cluster) needsPaths() bool {
-	switch c.Cfg.Scheme {
-	case SchemeCloveECN, SchemeCloveINT, SchemeCloveLatency, SchemePresto, SchemeCloveUniform,
-		SchemeConcury, SchemeConcuryRef, SchemeCharon, SchemeCharonRef:
-		return true
-	}
-	return false
 }
 
 // CheckOracle returns the oracle's end-of-run verdict, nil when the oracle
@@ -405,7 +341,7 @@ func (c *Cluster) CheckOracle() error {
 // SetupPaths installs path sets for every (src, dst) pair that will carry
 // traffic, using either the oracle enumeration or the traceroute prober.
 func (c *Cluster) SetupPaths(pairs [][2]packet.HostID) {
-	if !c.needsPaths() {
+	if !c.scheme.needsPaths {
 		return
 	}
 	if c.Cfg.UseProber {

@@ -171,6 +171,23 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestWebSearchTimeoutBeforeIssue pins that a run cut by MaxSimTime before
+// every arrival was issued reports a timeout: TimedOut compares completions
+// against the job target, not against the jobs issued so far.
+func TestWebSearchTimeoutBeforeIssue(t *testing.T) {
+	c := New(Config{Seed: 1, Topo: smallTopo(), Scheme: SchemeECMP})
+	p := smallWS(0.4)
+	p.MaxSimTime = sim.Millisecond
+	p.Warmup = 2 * sim.Millisecond // first arrival lands after the cutoff
+	res := c.RunWebSearch(p)
+	if res.Issued != 0 || res.Completed != 0 {
+		t.Fatalf("issued %d, completed %d before the cutoff; want 0", res.Issued, res.Completed)
+	}
+	if !res.TimedOut {
+		t.Error("run cut before any arrival did not report TimedOut")
+	}
+}
+
 func TestUnknownSchemePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -44,7 +44,7 @@ func (c *Cluster) OpenConn(client, server packet.HostID, idx int) *Conn {
 	ccfg.Pool = c.poolFor(client)
 	scfg.Pool = c.poolFor(server)
 
-	if c.Cfg.Scheme == SchemeMPTCP {
+	if c.scheme.mptcp {
 		mp := tcp.NewMPSender(cs, ccfg, flow, c.Cfg.MPTCPSubflows, cvs.FromVM)
 		for _, sub := range mp.Subflows() {
 			sf := sub.Flow()
@@ -70,9 +70,9 @@ func (c *Cluster) OpenConn(client, server packet.HostID, idx int) *Conn {
 	}
 	c.conns[key] = conn
 	c.connList = append(c.connList, conn)
-	if c.domConns != nil {
-		id := c.domFor(client).ID()
-		c.domConns[id] = append(c.domConns[id], conn)
+	if c.loopConns != nil {
+		i := c.hostLoop(client)
+		c.loopConns[i] = append(c.loopConns[i], conn)
 	}
 	return conn
 }

@@ -4,26 +4,17 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"clove/internal/clove"
-	"clove/internal/netem"
-	"clove/internal/oracle"
 	"clove/internal/packet"
 	"clove/internal/sim"
-	"clove/internal/stats"
-	"clove/internal/tcp"
 	"clove/internal/telemetry"
-	"clove/internal/vswitch"
 )
 
-// Sharded (domain-mode) cluster construction. The fabric is built with
-// netem.BuildLeafSpineSharded — one event domain per leaf (leaf switch +
-// its hosts + everything stacked on them: vswitches, TCP endpoints,
-// probers) and one per spine — and the run executes on a sim.Engine in
-// conservative windows bounded by the trunk propagation delay. Everything
-// a host schedules lands on its own domain's Simulator; the only
-// cross-domain interactions are trunk-link propagation (netem) and the
-// sharded workload driver's incast request/response hand-offs
-// (mixdomains.go), both via Domain.Post.
+// Mode helpers. A sharded (domain-mode) cluster places everything a host
+// schedules on its own domain's Simulator; the only cross-domain
+// interactions are trunk-link propagation (netem) and the sharded mix
+// driver's incast request/response hand-offs (mixdomains.go), both via
+// Domain.Post. The helpers below resolve a host to its event loop, so that
+// the construction and workload code is the same in both modes.
 //
 // Results are bit-identical at any Config.DomainWorkers, but a sharded run
 // is a *different* simulation than a single-sim run of the same seed: the
@@ -31,150 +22,7 @@ import (
 // streams. Determinism guarantees therefore hold within a mode, not across
 // modes.
 
-// newSharded builds the domain-mode cluster. Mirrors New; CONGA is
-// rejected (its fabric state spans switches in different domains).
-func newSharded(cfg Config) *Cluster {
-	if cfg.Scheme == SchemeCONGA {
-		panic("cluster: conga is not supported in domain (sharded) mode: its leaf-to-leaf congestion tables span event domains")
-	}
-	if cfg.PathsK == 0 {
-		cfg.PathsK = 4
-	}
-	if cfg.MPTCPSubflows == 0 {
-		cfg.MPTCPSubflows = tcp.DefaultSubflows
-	}
-	eng := sim.NewEngine(cfg.Seed, cfg.Topo.FabricDelay())
-	ls := netem.BuildLeafSpineSharded(eng, cfg.Topo)
-	c := &Cluster{
-		Cfg:       cfg,
-		Eng:       eng,
-		LS:        ls,
-		Recorder:  &stats.FCTRecorder{},
-		rtt:       ls.BaseRTT(),
-		conns:     map[connKey]*Conn{},
-		nextPort:  10000,
-		loadScale: 1,
-	}
-	if cfg.Oracle {
-		c.Oracle = oracle.New()
-		obs := oracle.NewLocked(c.Oracle)
-		for _, p := range ls.Pools() {
-			p.SetObserver(obs)
-		}
-		// No per-event hook: it only drives the periodic live-counter
-		// self-audit, which CheckOracle's end-of-run Check covers.
-		if connConsistent(cfg.Scheme) {
-			c.Oracle.RequireConnConsistency()
-		}
-	}
-	if cfg.FlowletGap == 0 {
-		c.Cfg.FlowletGap = c.rtt
-	}
-	if cfg.RelayInterval == 0 {
-		c.Cfg.RelayInterval = c.rtt / 2
-	}
-	if cfg.Beta == 0 {
-		c.Cfg.Beta = 1.0 / 3.0
-	}
-	c.tcpCfg = cfg.TCP
-	if c.tcpCfg.MSS == 0 {
-		c.tcpCfg = tcp.DefaultConfig()
-	}
-	c.tcpCfg.ECN = cfg.TenantECN
-	// tcpCfg.Pool stays nil: endpoints get their own domain's pool in
-	// OpenConn.
-
-	if cfg.AsymmetricFailure {
-		ls.FailPaperLink()
-	}
-
-	vcfg := vswitch.Config{
-		EncapDstPort:       7471,
-		FlowletGap:         c.Cfg.FlowletGap,
-		RelayInterval:      c.Cfg.RelayInterval,
-		StandaloneFeedback: true,
-	}
-	switch cfg.Scheme {
-	case SchemeCloveECN, SchemeCloveINT, SchemeCloveUniform:
-		vcfg.MaskECN = true
-		vcfg.RequestINT = cfg.Scheme == SchemeCloveINT
-	case SchemeCloveLatency:
-		vcfg.MaskECN = true
-		vcfg.MeasureLatency = true
-		vcfg.AdaptiveFlowletGap = cfg.AdaptiveFlowletGap
-	default:
-		vcfg.MaskECN = false
-	}
-
-	wtCfg := clove.DefaultWeightTableConfig(c.rtt)
-	wtCfg.Beta = c.Cfg.Beta
-	wtCfg.Frozen = cfg.FreezeWeights
-	if cfg.CongestedAge > 0 {
-		wtCfg.CongestedAge = cfg.CongestedAge
-	}
-	if cfg.UtilAge > 0 {
-		wtCfg.UtilAge = cfg.UtilAge
-	}
-
-	for _, h := range ls.Hosts() {
-		s := h.Domain().Simulator
-		var pol vswitch.PathPolicy
-		switch cfg.Scheme {
-		case SchemeECMP, SchemeMPTCP, SchemeLetFlow:
-			pol = vswitch.NewECMP()
-		case SchemeEdgeFlowlet:
-			pol = vswitch.NewEdgeFlowlet()
-		case SchemeCloveECN:
-			pol = vswitch.NewCloveECN(wtCfg)
-		case SchemeCloveUniform:
-			pol = vswitch.NewCloveUniform()
-		case SchemeCloveINT, SchemeCloveLatency:
-			pol = vswitch.NewCloveINT(wtCfg, s.Now)
-		case SchemePresto:
-			pol = vswitch.NewPresto(s)
-		case SchemeConcury:
-			pol = vswitch.NewConcury()
-		case SchemeConcuryRef:
-			pol = vswitch.NewConcuryRef()
-		case SchemeCharon:
-			pol = vswitch.NewCharon(wtCfg.UtilAge, s.Now)
-		case SchemeCharonRef:
-			pol = vswitch.NewCharonRef(wtCfg.UtilAge, s.Now)
-		default:
-			panic(fmt.Sprintf("cluster: unknown scheme %q", cfg.Scheme))
-		}
-		c.VSwitches = append(c.VSwitches, vswitch.New(s, h, vcfg, pol))
-	}
-
-	switch cfg.Scheme {
-	case SchemeLetFlow:
-		attachLetFlowSharded(ls, c.Cfg.FlowletGap)
-	case SchemeCharon, SchemeCharonRef:
-		// Load stamping reads only the local egress link's DRE, so unlike
-		// CONGA it is domain-safe: each leaf stamps inside its own window.
-		attachCharonStamping(ls)
-	}
-	c.setupTelemetrySharded()
-	return c
-}
-
-// attachLetFlowSharded installs one LetFlow instance per switch, each bound
-// to its switch's own domain Simulator (clock and RNG). The legacy attach
-// shares one instance across switches; since all its per-switch state is
-// keyed by switch ID and it only reads sim.Now/Rand, per-switch instances
-// implement the same algorithm with domain-confined state.
-func attachLetFlowSharded(ls *netem.LeafSpine, gap sim.Time) {
-	for _, sw := range ls.Switches() {
-		lb := &letFlowLB{
-			sim:      sw.Sim(),
-			flowlets: map[packet.NodeID]*clove.FlowletTable{sw.ID(): clove.NewFlowletTable(gap)},
-			pinned:   map[packet.NodeID]map[packet.FiveTuple]*netem.Link{sw.ID(): {}},
-		}
-		sw.SetLB(lb)
-	}
-}
-
-// domFor returns the event domain owning host h (sharded mode only).
+// domFor returns the event domain owning host h, nil in single-sim mode.
 func (c *Cluster) domFor(h packet.HostID) *sim.Domain { return c.LS.Host(h).Domain() }
 
 // simFor returns the Simulator everything on host h must schedule on.
@@ -190,17 +38,42 @@ func (c *Cluster) simFor(h packet.HostID) *sim.Simulator {
 // single-sim behavior unchanged.
 func (c *Cluster) poolFor(h packet.HostID) *packet.Pool { return c.LS.Host(h).Pool() }
 
-// traceFor returns the tracer events on host h must report to: the single
-// run tracer in legacy mode, the owning domain's in sharded mode. Nil when
-// telemetry is disabled.
-func (c *Cluster) traceFor(h packet.HostID) *telemetry.Tracer {
+// loops returns the cluster's event loops in order: the one Simulator in
+// single-sim mode, every domain's in sharded mode.
+func (c *Cluster) loops() []*sim.Simulator {
 	if c.Eng == nil {
-		return c.Trace
+		return []*sim.Simulator{c.Sim}
 	}
-	if c.domTraces == nil {
+	out := make([]*sim.Simulator, c.Eng.NumDomains())
+	for i := range out {
+		out[i] = c.Eng.Domain(i).Simulator
+	}
+	return out
+}
+
+// nodeLoop returns the index in loops() of the loop owning node id.
+func (c *Cluster) nodeLoop(id packet.NodeID) int {
+	if d := c.LS.NodeDomain(id); d != nil {
+		return d.ID()
+	}
+	return 0
+}
+
+// hostLoop returns the index in loops() of the loop owning host h.
+func (c *Cluster) hostLoop(h packet.HostID) int {
+	if d := c.domFor(h); d != nil {
+		return d.ID()
+	}
+	return 0
+}
+
+// traceFor returns the tracer events on host h must report to: its event
+// loop's. Nil when telemetry is disabled.
+func (c *Cluster) traceFor(h packet.HostID) *telemetry.Tracer {
+	if c.traces == nil {
 		return nil
 	}
-	return c.domTraces[c.domFor(h).ID()]
+	return c.traces[c.hostLoop(h)]
 }
 
 // ScheduleControl schedules a control-plane action (scenario link flaps,
@@ -215,79 +88,6 @@ func (c *Cluster) ScheduleControl(at sim.Time, fn func()) {
 	c.Sim.After(at-c.Sim.Now(), fn)
 }
 
-// setupTelemetrySharded mirrors setupTelemetry with one tracer per domain,
-// each sampling only domain-owned state (links by source node, weight
-// tables and senders by host), so sampling happens race-free inside the
-// owner's windows and every domain's trace bytes are a pure function of
-// the run. ExportTraces writes them under domain-NN subdirectories.
-func (c *Cluster) setupTelemetrySharded() {
-	if c.Cfg.Telemetry == nil {
-		return
-	}
-	nd := c.Eng.NumDomains()
-	c.domTraces = make([]*telemetry.Tracer, nd)
-	c.domConns = make([][]*Conn, nd)
-	for i := 0; i < nd; i++ {
-		c.domTraces[i] = telemetry.NewTracer(c.Eng.Domain(i).Simulator, *c.Cfg.Telemetry)
-	}
-
-	domLinks := make([][]*netem.Link, nd)
-	for _, l := range c.LS.Links() {
-		id := c.LS.NodeDomain(l.From()).ID()
-		domLinks[id] = append(domLinks[id], l)
-		l.SetTrace(c.domTraces[id])
-	}
-	domHosts := make([][]int, nd)
-	for hi, v := range c.VSwitches {
-		id := c.domFor(packet.HostID(hi)).ID()
-		domHosts[id] = append(domHosts[id], hi)
-		v.SetTrace(c.domTraces[id])
-	}
-
-	for i := 0; i < nd; i++ {
-		tr := c.domTraces[i]
-		links := domLinks[i]
-		hosts := domHosts[i]
-		domID := i
-		tr.AddSampler(func(now sim.Time) {
-			for _, l := range links {
-				st := l.Stats()
-				tr.QueueSample(now, l.ID(), l.Name(), l.QueueLen(), st.ECNMarks, st.Drops+st.DownDrops)
-			}
-		})
-		tr.AddSampler(func(now sim.Time) {
-			for _, hi := range hosts {
-				tv, ok := c.VSwitches[hi].Policy().(tableVisitor)
-				if !ok {
-					continue
-				}
-				srcID := packet.HostID(hi)
-				tv.VisitTables(func(dst packet.HostID, t *clove.WeightTable) {
-					t.VisitStates(func(p clove.PathState) {
-						age := sim.Time(-1)
-						if p.LastCongested > 0 {
-							age = now - p.LastCongested
-						}
-						tr.WeightSample(now, srcID, dst, p.Port, p.Weight, p.Util, age)
-					})
-				})
-			}
-		})
-		tr.AddSampler(func(now sim.Time) {
-			for _, conn := range c.domConns[domID] {
-				if conn.mp != nil {
-					for _, sub := range conn.mp.Subflows() {
-						sampleSender(tr, now, sub)
-					}
-					continue
-				}
-				sampleSender(tr, now, conn.snd)
-			}
-		})
-		tr.Start()
-	}
-}
-
 // ExportTraces writes the run's trace files under dir: the single tracer's
 // files directly (legacy), or one domain-NN subdirectory per domain
 // (sharded). No-op when telemetry is disabled.
@@ -295,7 +95,7 @@ func (c *Cluster) ExportTraces(dir string) error {
 	if c.Eng == nil {
 		return c.Trace.Export(dir)
 	}
-	for i, tr := range c.domTraces {
+	for i, tr := range c.traces {
 		if err := tr.Export(filepath.Join(dir, fmt.Sprintf("domain-%02d", i))); err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"clove/internal/netem"
@@ -181,19 +182,39 @@ func TestDomainModeLegacyDriversPanic(t *testing.T) {
 	})
 }
 
-// TestDomainModeSchemes smoke-runs each supported scheme end to end on the
-// 4-leaf sharded fabric with 4 workers.
+// TestDomainModeSchemes walks the scheme table: every entry, the reference
+// twins included, builds single-sim and smoke-runs end to end on the 4-leaf
+// sharded fabric with 4 workers, or — where the table marks it not
+// shardable — panics there. It also pins what the table feeds: Known (the
+// scenario validator's scheme check) accepts exactly the table's names,
+// and AllSchemes keeps the presentation order that figure rows and
+// benchmark metric names depend on.
 func TestDomainModeSchemes(t *testing.T) {
-	for _, scheme := range AllSchemes() {
-		if scheme == SchemeCONGA {
-			continue // rejected in domain mode
-		}
-		scheme := scheme
+	for _, sp := range schemeTable {
+		scheme := sp.name
 		t.Run(string(scheme), func(t *testing.T) {
-			c := New(Config{
-				Seed: 9, Topo: shardedTopo(), Scheme: scheme,
-				DomainWorkers: 4, ServersPerClient: 3,
-			})
+			if !scheme.Known() || scheme.Shardable() != sp.sharded {
+				t.Fatalf("Known=%v Shardable=%v, table sharded=%v", scheme.Known(), scheme.Shardable(), sp.sharded)
+			}
+			if c := New(Config{Seed: 9, Topo: smallTopo(), Scheme: scheme}); c.Sim == nil || len(c.VSwitches) == 0 {
+				t.Fatal("single-sim build incomplete")
+			}
+			build := func() *Cluster {
+				return New(Config{
+					Seed: 9, Topo: shardedTopo(), Scheme: scheme,
+					DomainWorkers: 4, ServersPerClient: 3,
+				})
+			}
+			if !sp.sharded {
+				defer func() {
+					if recover() == nil {
+						t.Error("non-shardable scheme built in domain mode")
+					}
+				}()
+				build()
+				return
+			}
+			c := build()
 			p := shardedMix()
 			p.TotalJobs = 24
 			res := c.RunMix(p)
@@ -204,5 +225,16 @@ func TestDomainModeSchemes(t *testing.T) {
 				t.Errorf("recorder has %d, completed %d", c.Recorder.Count(), res.Completed)
 			}
 		})
+	}
+	for _, name := range []Scheme{"", "bogus", "ECMP", "clove"} {
+		if name.Known() || name.Shardable() {
+			t.Errorf("%q: Known=%v Shardable=%v for a name outside the table", name, name.Known(), name.Shardable())
+		}
+	}
+	want := []Scheme{SchemeECMP, SchemeEdgeFlowlet, SchemeCloveECN, SchemeCloveINT,
+		SchemePresto, SchemeMPTCP, SchemeCONGA, SchemeLetFlow, SchemeCloveLatency,
+		SchemeConcury, SchemeCharon}
+	if got := AllSchemes(); !slices.Equal(got, want) {
+		t.Errorf("AllSchemes() = %v, want %v", got, want)
 	}
 }

@@ -7,29 +7,28 @@ import (
 	"clove/internal/sim"
 )
 
-// letFlowLB implements the LetFlow baseline (Sec. 8): switches split flows
-// into flowlets and hash each flowlet to a *random* next-hop, with no
-// congestion awareness at all. LetFlow's insight — which the paper's
+// letFlowLB implements the LetFlow baseline (Sec. 8) on one switch: it
+// splits flows into flowlets and hashes each flowlet to a *random* next-hop,
+// with no congestion awareness at all. LetFlow's insight — which the paper's
 // Edge-Flowlet transplants to the hypervisor — is that flowlet boundaries
 // themselves adapt to congestion, because congested paths stall ACK
 // clocking and spawn new flowlets.
 type letFlowLB struct {
 	sim      *sim.Simulator
-	flowlets map[packet.NodeID]*clove.FlowletTable
-	pinned   map[packet.NodeID]map[packet.FiveTuple]*netem.Link
+	flowlets *clove.FlowletTable
+	pinned   map[packet.FiveTuple]*netem.Link
 }
 
-// attachLetFlow installs LetFlow on every switch in the fabric.
-func attachLetFlow(s *sim.Simulator, ls *netem.LeafSpine, gap sim.Time) {
-	lb := &letFlowLB{
-		sim:      s,
-		flowlets: map[packet.NodeID]*clove.FlowletTable{},
-		pinned:   map[packet.NodeID]map[packet.FiveTuple]*netem.Link{},
-	}
-	for _, sw := range ls.Switches() {
-		lb.flowlets[sw.ID()] = clove.NewFlowletTable(gap)
-		lb.pinned[sw.ID()] = map[packet.FiveTuple]*netem.Link{}
-		sw.SetLB(lb)
+// installLetFlow installs one LetFlow instance on every switch in the
+// fabric, bound to the switch's own Simulator (clock and RNG): the shared
+// Simulator in single-sim mode, the switch's domain in sharded mode.
+func installLetFlow(c *Cluster) {
+	for _, sw := range c.LS.Switches() {
+		sw.SetLB(&letFlowLB{
+			sim:      sw.Sim(),
+			flowlets: clove.NewFlowletTable(c.Cfg.FlowletGap),
+			pinned:   map[packet.FiveTuple]*netem.Link{},
+		})
 	}
 }
 
@@ -37,18 +36,16 @@ func attachLetFlow(s *sim.Simulator, ls *netem.LeafSpine, gap sim.Time) {
 func (l *letFlowLB) Observe(*netem.Switch, *packet.Packet, *netem.Link) {}
 
 // Pick implements netem.SwitchLB: random next-hop per flowlet.
-func (l *letFlowLB) Pick(sw *netem.Switch, pkt *packet.Packet, candidates []*netem.Link) (*netem.Link, bool) {
+func (l *letFlowLB) Pick(_ *netem.Switch, pkt *packet.Packet, candidates []*netem.Link) (*netem.Link, bool) {
 	if len(candidates) == 1 {
 		return candidates[0], true
 	}
 	outer := pkt.OuterTuple()
-	ft := l.flowlets[sw.ID()]
-	pinned := l.pinned[sw.ID()]
-	_, isNew := ft.Touch(outer, l.sim.Now())
-	eg := pinned[outer]
+	_, isNew := l.flowlets.Touch(outer, l.sim.Now())
+	eg := l.pinned[outer]
 	if isNew || eg == nil || !containsLink(eg, candidates) {
 		eg = candidates[l.sim.Rand().Intn(len(candidates))]
-		pinned[outer] = eg
+		l.pinned[outer] = eg
 	}
 	return eg, true
 }

@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"fmt"
-
 	"clove/internal/packet"
 	"clove/internal/sim"
 	"clove/internal/stats"
-	"clove/internal/workload"
 )
 
 // runMixDomains is the sharded counterpart of RunMix: every host is a
@@ -24,17 +21,6 @@ import (
 // merged in domain order afterwards — so the figure tables, like
 // everything else, are bit-identical at any worker count.
 func (c *Cluster) runMixDomains(p MixParams) MixResult {
-	if p.SizeScale == 0 {
-		p.SizeScale = 1
-	}
-	if p.MaxSimTime == 0 {
-		p.MaxSimTime = 600 * sim.Second
-	}
-	fracSum := p.FracWebSearch + p.FracRPC + p.FracML + p.FracIncast
-	if p.FracWebSearch < 0 || p.FracRPC < 0 || p.FracML < 0 || p.FracIncast < 0 ||
-		fracSum < 0.999 || fracSum > 1.001 {
-		panic(fmt.Sprintf("cluster: mix fractions must be >= 0 and sum to 1, got %v", fracSum))
-	}
 	hostsPerLeaf := c.Cfg.Topo.HostsPerLeaf
 	nHosts := c.Cfg.Topo.Leaves * hostsPerLeaf
 	spc := c.Cfg.ServersPerClient
@@ -45,55 +31,22 @@ func (c *Cluster) runMixDomains(p MixParams) MixResult {
 	if spc > maxSpc {
 		spc = maxSpc
 	}
-	if p.IncastFanout <= 0 || p.IncastFanout > spc {
-		p.IncastFanout = spc
-	}
-	if p.IncastBytes == 0 {
-		p.IncastBytes = 1e6
-	}
-	if p.MLBytes == 0 {
-		p.MLBytes = 1e6
-	}
-
-	webDist := workload.WebSearch()
-	rpcDist := workload.CacheFollower()
-	if p.SizeScale != 1 {
-		webDist = webDist.Scaled(p.SizeScale)
-		rpcDist = rpcDist.Scaled(p.SizeScale)
-	}
-	mlBytes := int64(float64(p.MLBytes) * p.SizeScale)
-	incastBytes := int64(float64(p.IncastBytes) * p.SizeScale)
-	if mlBytes <= 0 {
-		mlBytes = 1
-	}
-	if incastBytes <= 0 {
-		incastBytes = 1
-	}
-	c.Recorder.SetSizeScale(p.SizeScale)
+	plan := c.planMix(p, nHosts, spc)
 
 	// Per-domain run state. Each slot is written only by its owning domain
-	// (mid-window) and read at barriers / after the run; padding keeps the
-	// hot counters off shared cache lines.
+	// (mid-window) and read at barriers / after the run.
 	nd := c.Eng.NumDomains()
-	type domCounters struct {
-		completed int
-		issued    int
-		_         [48]byte
-	}
-	cnt := make([]domCounters, nd)
+	cnt := make([]mixCount, nd)
 	recs := make([]*stats.FCTRecorder, nd)
 	for i := range recs {
 		recs[i] = &stats.FCTRecorder{}
-		recs[i].SetSizeScale(p.SizeScale)
+		recs[i].SetSizeScale(plan.SizeScale)
 	}
 
 	// Persistent connections: servers for client ci are hosts on other
 	// leaves in host order, rotated by ci so load spreads evenly.
 	fwd := make([][]*Conn, nHosts)
-	var rev [][]*Conn
-	if p.FracIncast > 0 {
-		rev = make([][]*Conn, nHosts)
-	}
+	rev := make([][]*Conn, nHosts)
 	var pairs [][2]packet.HostID
 	for ci := 0; ci < nHosts; ci++ {
 		leaf := ci / hostsPerLeaf
@@ -104,7 +57,7 @@ func (c *Cluster) runMixDomains(p MixParams) MixResult {
 			}
 		}
 		fwd[ci] = make([]*Conn, spc)
-		if rev != nil {
+		if p.FracIncast > 0 {
 			rev[ci] = make([]*Conn, spc)
 		}
 		client := packet.HostID(ci)
@@ -112,154 +65,48 @@ func (c *Cluster) runMixDomains(p MixParams) MixResult {
 			server := cand[(ci+k)%len(cand)]
 			fwd[ci][k] = c.OpenConn(client, server, 0)
 			pairs = append(pairs, [2]packet.HostID{client, server}, [2]packet.HostID{server, client})
-			if rev != nil {
+			if rev[ci] != nil {
 				rev[ci][k] = c.OpenConn(server, client, 0)
 			}
 		}
 	}
 	c.SetupPaths(pairs)
 
-	meanJob := p.FracWebSearch*webDist.Mean() + p.FracRPC*rpcDist.Mean() +
-		p.FracML*float64(mlBytes) + p.FracIncast*float64(incastBytes)
-	rate := workload.ArrivalRateForLoad(p.Load, c.LS.BisectionBps(), nHosts, meanJob)
-
-	jobsPerClient := p.TotalJobs / nHosts
-	if jobsPerClient == 0 {
-		jobsPerClient = 1
-	}
-	target := jobsPerClient * nHosts
-	la := c.Eng.Lookahead()
-
 	// Per-client arrival chains, entirely inside the client's domain.
 	for ci := 0; ci < nHosts; ci++ {
-		ci := ci
-		d := c.domFor(packet.HostID(ci))
-		domID := d.ID()
-		rec := recs[domID]
-		tr := c.traceFor(packet.HostID(ci))
-		rng := d.Rand()
-
-		jobDone := func() { cnt[domID].completed++ }
-		recordFlow := func(conn *Conn, size int64) func(sim.Time) {
-			return func(fct sim.Time) {
-				rec.Add(size, fct)
-				if tr != nil {
-					tr.FCT(d.Now(), conn.Client, conn.Server, size, fct)
-				}
-				jobDone()
-			}
+		client := packet.HostID(ci)
+		d := c.domFor(client)
+		m := c.newMixClient(plan, client, fwd[ci], rev[ci], recs[d.ID()], &cnt[d.ID()])
+		// The responding sender lives on the server host, in another
+		// domain: ship the request over as a post (one lookahead of modeled
+		// request latency), and the shard completion back the same way.
+		// finish then runs in this domain, where the job's state lives.
+		m.incast = func(conn *Conn, shard int64, finish func(sim.Time)) {
+			req := &incastReq{c: c, conn: conn, shard: shard, clientDom: d.ID(), finish: finish}
+			d.Post(c.domFor(conn.Client).ID(), d.Now()+c.Eng.Lookahead(), incastStart, req, nil)
 		}
-		type composite struct {
-			pending int
-			total   int64
-			start   sim.Time
-		}
-		recordShard := func(conn *Conn, comp *composite, shard int64) func(sim.Time) {
-			return func(sim.Time) {
-				if tr != nil {
-					tr.FCT(d.Now(), conn.Client, conn.Server, shard, d.Now()-comp.start)
-				}
-				comp.pending--
-				if comp.pending == 0 {
-					rec.Add(comp.total, d.Now()-comp.start)
-					jobDone()
-				}
-			}
-		}
-		pick := func() int {
-			u := rng.Float64()
-			switch {
-			case u < p.FracWebSearch:
-				return mixWeb
-			case u < p.FracWebSearch+p.FracRPC:
-				return mixRPC
-			case u < p.FracWebSearch+p.FracRPC+p.FracML:
-				return mixML
-			default:
-				return mixIncast
-			}
-		}
-		issueJob := func() {
-			cnt[domID].issued++
-			switch pick() {
-			case mixWeb:
-				k := rng.Intn(spc)
-				size := webDist.Sample(rng)
-				fwd[ci][k].StartJob(size, recordFlow(fwd[ci][k], size))
-			case mixRPC:
-				k := rng.Intn(spc)
-				size := rpcDist.Sample(rng)
-				fwd[ci][k].StartJob(size, recordFlow(fwd[ci][k], size))
-			case mixML:
-				shard := mlBytes / int64(spc)
-				if shard <= 0 {
-					shard = 1
-				}
-				comp := &composite{pending: spc, total: shard * int64(spc), start: d.Now()}
-				for k := 0; k < spc; k++ {
-					fwd[ci][k].StartJob(shard, recordShard(fwd[ci][k], comp, shard))
-				}
-			case mixIncast:
-				shard := incastBytes / int64(p.IncastFanout)
-				if shard <= 0 {
-					shard = 1
-				}
-				perm := rng.Perm(spc)[:p.IncastFanout]
-				comp := &composite{pending: p.IncastFanout, total: shard * int64(p.IncastFanout), start: d.Now()}
-				for _, k := range perm {
-					conn := rev[ci][k]
-					// The responding sender lives on the server host, in
-					// another domain: ship the request over as a post (one
-					// lookahead of modeled request latency), and the shard
-					// completion back the same way. recordShard then runs in
-					// this domain, where comp and rec live.
-					req := &incastReq{
-						c:         c,
-						conn:      conn,
-						shard:     shard,
-						clientDom: domID,
-						finish:    recordShard(conn, comp, shard),
-					}
-					d.Post(c.domFor(conn.Client).ID(), d.Now()+la, incastStart, req, nil)
-				}
-			}
-		}
-		nextGap := func() sim.Time {
-			return sim.FromSeconds(rng.ExpFloat64() / (rate * c.loadScale))
-		}
-		var issue func(remaining int)
-		issue = func(remaining int) {
-			if remaining == 0 {
-				return
-			}
-			issueJob()
-			d.After(nextGap(), func() { issue(remaining - 1) })
-		}
-		d.After(p.Warmup+nextGap(), func() { issue(jobsPerClient) })
+		m.start()
 	}
 
 	workers := c.Cfg.DomainWorkers
 	if workers <= 0 {
 		workers = 1
 	}
-	c.Eng.Run(p.MaxSimTime, workers, func() bool {
+	c.Eng.Run(plan.MaxSimTime, workers, func() bool {
 		tot := 0
 		for i := range cnt {
 			tot += cnt[i].completed
 		}
-		return tot >= target
+		return tot >= plan.target
 	})
 
-	res := MixResult{}
+	completed, issued := 0, 0
 	for i := range cnt {
-		res.Completed += cnt[i].completed
-		res.Issued += cnt[i].issued
+		completed += cnt[i].completed
+		issued += cnt[i].issued
 		c.Recorder.Merge(recs[i])
 	}
-	if res.Completed < target {
-		res.TimedOut = true
-	}
-	return res
+	return plan.result(completed, issued)
 }
 
 // incastReq carries one incast shard across domains: incastStart fires in

@@ -145,7 +145,7 @@ func (c *Cluster) RunWebSearch(p WebSearchParams) WebSearchResult {
 	}
 
 	c.Sim.RunUntil(p.MaxSimTime)
-	if res.Completed < res.Issued {
+	if res.Completed < target {
 		res.TimedOut = true
 	}
 	return res

@@ -211,7 +211,7 @@ func runOne(sc Scale, opts sweepOpts, scheme cluster.Scheme, load float64, seed 
 	if sc.Telemetry != nil {
 		point := fmt.Sprintf("load%03d", int(load*100+0.5))
 		dir := filepath.Join(sc.Telemetry.Dir, traceRunDir(opts.figure, scheme, opts.variant, point, seed))
-		if err := c.Trace.Export(dir); err != nil {
+		if err := c.ExportTraces(dir); err != nil {
 			panic(fmt.Sprintf("%s %s load=%.2f seed=%d: trace export: %v", opts.figure, scheme, load, seed, err))
 		}
 	}
@@ -446,7 +446,7 @@ func Fig7(sc Scale, progress io.Writer) []Row {
 		if sc.Telemetry != nil {
 			point := fmt.Sprintf("fanout%02d", p.fanout)
 			dir := filepath.Join(sc.Telemetry.Dir, traceRunDir("fig7", p.scheme, "", point, seed))
-			if err := c.Trace.Export(dir); err != nil {
+			if err := c.ExportTraces(dir); err != nil {
 				panic(fmt.Sprintf("fig7 %s fanout=%d seed=%d: trace export: %v", p.scheme, p.fanout, seed, err))
 			}
 		}

@@ -261,22 +261,6 @@ func (s *Spec) errf(format string, a ...any) error {
 	return fmt.Errorf("scenario %q: %s", s.Name, fmt.Sprintf(format, a...))
 }
 
-// validSchemes is every scheme a spec may name: the paper's evaluated set
-// plus the hidden differential references (clove-uniform, concury-ref,
-// charon-ref), so a scenario can pit a production scheme against its
-// replay twin.
-func validSchemes() map[string]bool {
-	m := map[string]bool{
-		string(cluster.SchemeCloveUniform): true,
-		string(cluster.SchemeConcuryRef):   true,
-		string(cluster.SchemeCharonRef):    true,
-	}
-	for _, sch := range cluster.AllSchemes() {
-		m[string(sch)] = true
-	}
-	return m
-}
-
 // validName reports whether name is 1-64 chars of [a-z0-9-].
 func validName(name string) bool {
 	if len(name) == 0 || len(name) > 64 {
@@ -306,15 +290,17 @@ func (s *Spec) Validate() error {
 		return s.errf("at least one scheme required")
 	}
 	seen := map[string]bool{}
-	valid := validSchemes()
 	for _, sch := range s.Schemes {
-		if !valid[sch] {
+		// Any scheme the cluster's table defines, including the hidden
+		// differential references, so a scenario can pit a production
+		// scheme against its replay twin.
+		if !cluster.Scheme(sch).Known() {
 			return s.errf("unknown scheme %q", sch)
 		}
 		if seen[sch] {
 			return s.errf("duplicate scheme %q", sch)
 		}
-		if s.Topology.Leaves > 2 && sch == string(cluster.SchemeCONGA) {
+		if s.Topology.Leaves > 2 && !cluster.Scheme(sch).Shardable() {
 			return s.errf("scheme %q requires a two-leaf topology (its congestion tables span event domains)", sch)
 		}
 		seen[sch] = true

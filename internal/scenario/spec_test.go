@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"clove/internal/cluster"
 )
 
 // baseSpec is a minimal valid spec with defaults applied; each validation
@@ -89,6 +91,12 @@ func TestValidateErrorMessages(t *testing.T) {
 			`scenario "test-scn": unknown scheme "wrr"`},
 		{"duplicate scheme", func(s *Spec) { s.Schemes = []string{"ecmp", "ecmp"} },
 			`scenario "test-scn": duplicate scheme "ecmp"`},
+		{"twin name misspelt", func(s *Spec) { s.Schemes = []string{"charon-reference"} },
+			`scenario "test-scn": unknown scheme "charon-reference"`},
+		{"conga on more than two leaves", func(s *Spec) {
+			s.Topology.Leaves = 4
+			s.Schemes = []string{"ecmp", "conga"}
+		}, `scenario "test-scn": scheme "conga" requires a two-leaf topology (its congestion tables span event domains)`},
 		{"too many seeds", func(s *Spec) { s.Seeds = make([]int64, 17) },
 			`scenario "test-scn": at most 16 seeds, got 17`},
 		{"timestamp negative", func(s *Spec) {
@@ -155,9 +163,24 @@ func TestValidateErrorMessages(t *testing.T) {
 	}
 }
 
+// TestValidateAcceptsBase also accepts every scheme the cluster defines —
+// AllSchemes plus the hidden differential-reference twins — on the
+// two-leaf topology, and every shardable one on four leaves.
 func TestValidateAcceptsBase(t *testing.T) {
 	if err := baseSpec().Validate(); err != nil {
 		t.Fatalf("base spec invalid: %v", err)
+	}
+	schemes := append(cluster.AllSchemes(), cluster.SchemeCloveUniform, cluster.SchemeConcuryRef, cluster.SchemeCharonRef)
+	for _, sch := range schemes {
+		sp := baseSpec()
+		sp.Schemes = []string{string(sch)}
+		if err := sp.Validate(); err != nil {
+			t.Errorf("%s rejected on two leaves: %v", sch, err)
+		}
+		sp.Topology.Leaves = 4
+		if err := sp.Validate(); (err == nil) != sch.Shardable() {
+			t.Errorf("%s on four leaves: err=%v, shardable=%v", sch, err, sch.Shardable())
+		}
 	}
 }
 
