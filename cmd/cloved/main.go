@@ -50,8 +50,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		listen   = fs.String("listen", "127.0.0.1", "local IP to bind path sockets on")
 		remote   = fs.String("remote", "", "remote endpoint addr (host:port); empty = receive-only until a /config retarget")
 		paths    = fs.Int("paths", 4, "number of path sockets (outer source ports)")
-		gap      = fs.Duration("flowlet-gap", 500*time.Microsecond, "flowlet inter-packet gap")
-		relay    = fs.Duration("relay", 250*time.Microsecond, "feedback relay interval")
+		gap      = fs.Duration("flowlet-gap", 500*time.Microsecond, "flowlet inter-packet gap (0 = datapath default)")
+		relay    = fs.Duration("relay", 250*time.Microsecond, "feedback relay interval (0 = datapath default)")
 		stats    = fs.Duration("stats", 2*time.Second, "stats print interval (0 disables)")
 		keepint  = fs.Duration("keepalive", 100*time.Millisecond, "keepalive/feedback-carrier interval (0 disables)")
 		batch    = fs.Int("batch", 0, "datagrams per batched syscall / ring depth (0 = default)")
@@ -96,6 +96,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			FlowletGap:    Duration(*gap),
 			RelayInterval: Duration(*relay),
 		}}
+		if err := validateTenants(cfg.tenants); err != nil {
+			fmt.Fprintln(stderr, "cloved:", err)
+			return 1
+		}
 	}
 
 	a, err := newApp(cfg, stdin, stdout, stderr)

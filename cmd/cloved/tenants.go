@@ -74,31 +74,42 @@ func parseTenants(data []byte) ([]TenantSpec, error) {
 	if dec.More() {
 		return nil, errors.New("tenants: trailing data after spec")
 	}
-	if len(tf.Tenants) == 0 {
-		return nil, errors.New("tenants: no tenants defined")
+	if err := validateTenants(tf.Tenants); err != nil {
+		return nil, err
 	}
-	seen := make(map[string]bool, len(tf.Tenants))
-	for i := range tf.Tenants {
-		t := &tf.Tenants[i]
+	return tf.Tenants, nil
+}
+
+// validateTenants checks every spec and fills its zero fields from the
+// datapath defaults in place. Specs from a -tenants file and the one built
+// from flags both pass through it, so neither can reach a tenant with a
+// negative duration.
+func validateTenants(specs []TenantSpec) error {
+	if len(specs) == 0 {
+		return errors.New("tenants: no tenants defined")
+	}
+	seen := make(map[string]bool, len(specs))
+	for i := range specs {
+		t := &specs[i]
 		if t.Name == "" {
-			return nil, fmt.Errorf("tenants: tenant %d: name is required", i)
+			return fmt.Errorf("tenants: tenant %d: name is required", i)
 		}
 		if seen[t.Name] {
-			return nil, fmt.Errorf("tenants: duplicate tenant name %q", t.Name)
+			return fmt.Errorf("tenants: duplicate tenant name %q", t.Name)
 		}
 		seen[t.Name] = true
 		if t.Paths < 0 {
-			return nil, fmt.Errorf("tenants: tenant %q: paths must be positive, got %d", t.Name, t.Paths)
+			return fmt.Errorf("tenants: tenant %q: paths must be positive, got %d", t.Name, t.Paths)
 		}
 		if t.FlowletGap < 0 {
-			return nil, fmt.Errorf("tenants: tenant %q: flowlet_gap must not be negative", t.Name)
+			return fmt.Errorf("tenants: tenant %q: flowlet_gap must not be negative", t.Name)
 		}
 		if t.RelayInterval < 0 {
-			return nil, fmt.Errorf("tenants: tenant %q: relay_interval must not be negative", t.Name)
+			return fmt.Errorf("tenants: tenant %q: relay_interval must not be negative", t.Name)
 		}
 		applyTenantDefaults(t)
 	}
-	return tf.Tenants, nil
+	return nil
 }
 
 // applyTenantDefaults fills zero fields from the datapath defaults.

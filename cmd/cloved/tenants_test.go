@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -76,6 +78,77 @@ func TestParseTenantsErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFlagSpecValidated: the tenant built from flags passes the same
+// validation as a -tenants file, so a negative duration flag exits 1
+// instead of serving with it.
+func TestFlagSpecValidated(t *testing.T) {
+	cases := []struct {
+		flag, want string
+	}{
+		{"-flowlet-gap", "flowlet_gap must not be negative"},
+		{"-relay", "relay_interval must not be negative"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.flag, func(t *testing.T) {
+			var out, errOut strings.Builder
+			code := run([]string{tc.flag, "-1ms", "-stats", "0", "-keepalive", "0"},
+				strings.NewReader(""), &out, &errOut)
+			if code != 1 {
+				t.Fatalf("exit code = %d, want 1\nstdout:\n%s", code, out.String())
+			}
+			if !strings.Contains(errOut.String(), tc.want) {
+				t.Errorf("stderr = %q, want substring %q", errOut.String(), tc.want)
+			}
+		})
+	}
+}
+
+// FuzzParseTenants: the tenants spec arrives from outside the program.
+// parseTenants must never panic; every accepted spec has a unique non-empty
+// name, at least one path and positive durations; and re-marshalling the
+// accepted specs parses back to the same specs.
+func FuzzParseTenants(f *testing.F) {
+	for _, seed := range []string{
+		`{"tenants":[{"name":"solo"}]}`,
+		`{"tenants":[{"name":"a","listen":"127.0.0.2","remote":"10.0.0.1:9000","paths":8,"flowlet_gap":"2ms","relay_interval":250000}]}`,
+		`{"tenants":[{"name":"x"},{"name":"y","paths":2,"flowlet_gap":"1ms"}]}`,
+		`{"tenants":[{"name":"x"},{"name":"x"}]}`,
+		`{"tenants":[{"name":"x","flowlet_gap":-5}]}`,
+		`{"tenants":[{"name":"x","flowlet_gap":"fast"}]}`,
+		`{"tenants":[]}`,
+		`nope`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		specs, err := parseTenants(data)
+		if err != nil {
+			return
+		}
+		seen := map[string]bool{}
+		for _, s := range specs {
+			if s.Name == "" || seen[s.Name] {
+				t.Fatalf("accepted empty or duplicate name %q in %+v", s.Name, specs)
+			}
+			seen[s.Name] = true
+			if s.Paths < 1 || s.FlowletGap <= 0 || s.RelayInterval <= 0 {
+				t.Fatalf("accepted spec out of range: %+v", s)
+			}
+		}
+		re, err := json.Marshal(tenantsFile{Tenants: specs})
+		if err != nil {
+			t.Fatalf("marshal accepted specs: %v", err)
+		}
+		again, err := parseTenants(re)
+		if err != nil {
+			t.Fatalf("re-parse of %s rejected: %v", re, err)
+		}
+		if !reflect.DeepEqual(again, specs) {
+			t.Fatalf("round trip mismatch:\n%+v\n%+v", specs, again)
+		}
+	})
 }
 
 func TestDurationJSONRoundTrip(t *testing.T) {

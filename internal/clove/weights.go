@@ -39,11 +39,15 @@ type WeightTableConfig struct {
 	Frozen bool
 }
 
+// DefaultBeta is the paper's weight reduction on congestion feedback: a
+// congested path loses a third of its weight.
+const DefaultBeta = 1.0 / 3.0
+
 // DefaultWeightTableConfig matches the paper's parameters: beta = 1/3,
 // congestion memory of a few RTTs.
 func DefaultWeightTableConfig(rtt sim.Time) WeightTableConfig {
 	return WeightTableConfig{
-		Beta:         1.0 / 3.0,
+		Beta:         DefaultBeta,
 		Floor:        0.02,
 		CongestedAge: 4 * rtt,
 		UtilAge:      8 * rtt,

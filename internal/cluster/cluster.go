@@ -93,8 +93,6 @@ type Config struct {
 	UseProber bool
 	// ProbeInterval for periodic rediscovery when UseProber is set.
 	ProbeInterval sim.Time
-	// MPTCPSubflows for the MPTCP scheme (default 4, as deployed in Sec. 5).
-	MPTCPSubflows int
 	// PrestoIdealWeights grants Presto the statically-correct asymmetric
 	// path weights (Sec. 5.2 gives it this benefit of the doubt).
 	PrestoIdealWeights bool
@@ -200,9 +198,6 @@ func New(cfg Config) *Cluster {
 	if cfg.PathsK == 0 {
 		cfg.PathsK = 4
 	}
-	if cfg.MPTCPSubflows == 0 {
-		cfg.MPTCPSubflows = tcp.DefaultSubflows
-	}
 	c := &Cluster{
 		Cfg:       cfg,
 		Recorder:  &stats.FCTRecorder{},
@@ -251,7 +246,7 @@ func New(cfg Config) *Cluster {
 		c.Cfg.RelayInterval = c.rtt / 2
 	}
 	if cfg.Beta == 0 {
-		c.Cfg.Beta = 1.0 / 3.0
+		c.Cfg.Beta = clove.DefaultBeta
 	}
 	// Endpoints take their host's packet pool in OpenConn.
 	c.tcpCfg = cfg.TCP

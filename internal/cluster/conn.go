@@ -19,14 +19,14 @@ type Conn struct {
 
 // OpenConn establishes the idx-th persistent connection between client and
 // server (connections are cached per (client, server, idx)). Under the
-// MPTCP scheme the connection carries the configured number of subflows.
+// MPTCP scheme the connection carries tcp.DefaultSubflows subflows.
 func (c *Cluster) OpenConn(client, server packet.HostID, idx int) *Conn {
 	key := connKey{client, server, idx}
 	if conn, ok := c.conns[key]; ok {
 		return conn
 	}
 	sp := c.nextPort
-	c.nextPort += uint16(c.Cfg.MPTCPSubflows) + 1
+	c.nextPort += tcp.DefaultSubflows + 1
 	flow := packet.FiveTuple{
 		Src: client, Dst: server,
 		SrcPort: sp, DstPort: 80,
@@ -45,7 +45,7 @@ func (c *Cluster) OpenConn(client, server packet.HostID, idx int) *Conn {
 	scfg.Pool = c.poolFor(server)
 
 	if c.scheme.mptcp {
-		mp := tcp.NewMPSender(cs, ccfg, flow, c.Cfg.MPTCPSubflows, cvs.FromVM)
+		mp := tcp.NewMPSender(cs, ccfg, flow, tcp.DefaultSubflows, cvs.FromVM)
 		for _, sub := range mp.Subflows() {
 			sf := sub.Flow()
 			rcv := tcp.NewReceiver(ss, scfg, sf, svs.FromVM)
@@ -75,30 +75,6 @@ func (c *Cluster) OpenConn(client, server packet.HostID, idx int) *Conn {
 		c.loopConns[i] = append(c.loopConns[i], conn)
 	}
 	return conn
-}
-
-// TransportStats sums sender-side transport counters across all open
-// connections (diagnostics: retransmission and timeout pressure).
-func (c *Cluster) TransportStats() tcp.SenderStats {
-	var agg tcp.SenderStats
-	add := func(s tcp.SenderStats) {
-		agg.SegmentsSent += s.SegmentsSent
-		agg.Retransmits += s.Retransmits
-		agg.FastRetransmits += s.FastRetransmits
-		agg.Timeouts += s.Timeouts
-		agg.ECNReductions += s.ECNReductions
-		agg.BytesAcked += s.BytesAcked
-	}
-	for _, conn := range c.conns {
-		if conn.mp != nil {
-			for _, sub := range conn.mp.Subflows() {
-				add(sub.Stats())
-			}
-			continue
-		}
-		add(conn.snd.Stats())
-	}
-	return agg
 }
 
 // StartJob sends size bytes on the connection; done fires with the job

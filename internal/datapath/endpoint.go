@@ -108,8 +108,6 @@ type Config struct {
 	FlowletGap time.Duration
 	// RelayInterval rate-limits feedback relays per path.
 	RelayInterval time.Duration
-	// Beta is the weight reduction on congestion feedback.
-	Beta float64
 	// Batch is the depth of each shard's preallocated send and receive
 	// rings: the maximum datagrams moved by one batched syscall and the
 	// coalescing bound for Enqueue. 0 means DefaultBatch.
@@ -138,7 +136,6 @@ func DefaultConfig() Config {
 		Paths:         4,
 		FlowletGap:    500 * time.Microsecond,
 		RelayInterval: 250 * time.Microsecond,
-		Beta:          1.0 / 3.0,
 		Batch:         DefaultBatch,
 		BufSize:       DefaultBufSize,
 	}
@@ -268,7 +265,7 @@ func NewEndpoint(localIP string, cfg Config) (*Endpoint, error) {
 		e.portIdx[sh.port] = int16(i + 1)
 	}
 	wcfg := clove.WeightTableConfig{
-		Beta:         cfg.Beta,
+		Beta:         clove.DefaultBeta,
 		Floor:        0.02,
 		CongestedAge: sim.FromDuration(4 * cfg.RelayInterval),
 		UtilAge:      sim.FromDuration(8 * cfg.RelayInterval),
@@ -719,7 +716,9 @@ func (e *Endpoint) takeFeedbackLocked(now time.Time) wire.Feedback {
 }
 
 // Keepalive sends a payload-less datagram (feedback carrier / BFD-style
-// liveness) on every path. A no-op on a receive-only endpoint.
+// liveness) on every path. Pending feedback rides the first datagram that
+// reaches a socket and only then counts as sent. A no-op on a receive-only
+// endpoint.
 func (e *Endpoint) Keepalive() {
 	if e.remoteAP.Load() == nil {
 		return
@@ -727,12 +726,11 @@ func (e *Endpoint) Keepalive() {
 	e.sendMu.Lock()
 	fb := e.takeFeedbackLocked(time.Now())
 	e.sendMu.Unlock()
-	if fb.Valid {
-		e.feedbackSent.Add(1)
-	}
 	for _, port := range e.ports {
-		e.transmit(port, 0, fb, nil, shimFlagBare)
-		fb = wire.Feedback{}
+		if e.transmit(port, 0, fb, nil, shimFlagBare) == nil && fb.Valid {
+			e.feedbackSent.Add(1)
+			fb = wire.Feedback{}
+		}
 	}
 }
 

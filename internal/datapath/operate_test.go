@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"clove/internal/wire"
 )
 
 // newCounting returns a receive-only endpoint counting deliveries.
@@ -29,21 +31,36 @@ func newCounting(t *testing.T, cfg Config) (*Endpoint, *atomic.Int64) {
 	return ep, &got
 }
 
-func eachIOMode(t *testing.T, fn func(t *testing.T, cfg Config)) {
-	for _, mode := range []struct {
-		name    string
-		noBatch bool
-	}{{"batched", false}, {"fallback", true}} {
+// ioModes are the socket I/O paths every mode-sensitive test covers:
+// batched with UDP GSO/GRO where the kernel offers it, batched with plain
+// sendmmsg/recvmmsg, and the portable one-datagram-per-syscall path.
+var ioModes = []struct {
+	name           string
+	noBatch, noSeg bool
+}{{"batched", false, false}, {"batched-nogso", false, true}, {"fallback", true, false}}
+
+// forIOModes runs fn as one subtest per available I/O mode, with cfg set
+// to the defaults plus that mode.
+func forIOModes(t *testing.T, fn func(t *testing.T, cfg Config)) {
+	for _, mode := range ioModes {
 		if !batchSyscallsAvailable && !mode.noBatch {
 			continue
 		}
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.Paths = 2
 			cfg.NoBatchSyscalls = mode.noBatch
+			cfg.NoSegmentation = mode.noSeg
 			fn(t, cfg)
 		})
 	}
+}
+
+// eachIOMode is forIOModes on two-path endpoints.
+func eachIOMode(t *testing.T, fn func(t *testing.T, cfg Config)) {
+	forIOModes(t, func(t *testing.T, cfg Config) {
+		cfg.Paths = 2
+		fn(t, cfg)
+	})
 }
 
 func TestReceiveOnlyStartThenRetarget(t *testing.T) {
@@ -234,6 +251,44 @@ func TestDrainFlushesPendingEnqueues(t *testing.T) {
 		// The endpoint is closed: transmitting now fails.
 		if err := snd.Send([]byte("x")); err == nil {
 			t.Error("Send succeeded on drained endpoint")
+		}
+	})
+}
+
+// TestControlCountersOnlyCountSentFrames: probes and keepalive feedback
+// count only frames that reached a socket, the rule Sent follows. A closed
+// endpoint sends nothing, so neither counter moves.
+func TestControlCountersOnlyCountSentFrames(t *testing.T) {
+	eachIOMode(t, func(t *testing.T, cfg Config) {
+		recv, _ := newCounting(t, cfg)
+		snd, err := NewEndpoint("127.0.0.1", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snd.Close()
+		if err := snd.Start(fmt.Sprintf("127.0.0.1:%d", recv.Ports()[0])); err != nil {
+			t.Fatal(err)
+		}
+		snd.ProbePaths()
+		if got := snd.Stats().ProbesSent; got != int64(cfg.Paths) {
+			t.Fatalf("ProbesSent = %d after probing %d open paths", got, cfg.Paths)
+		}
+
+		// A CE mark leaves feedback pending for the next keepalive.
+		ce := make([]byte, headerLen)
+		encodeFrame(ce, 40001, 1, wire.Feedback{}, nil, 0)
+		ce[0] |= fabricCE
+		snd.handleFrame(snd.shards[0], ce, 40001)
+
+		snd.Close()
+		snd.ProbePaths()
+		snd.Keepalive()
+		st := snd.Stats()
+		if st.ProbesSent != int64(cfg.Paths) {
+			t.Errorf("ProbesSent = %d after probing a closed endpoint, want %d", st.ProbesSent, cfg.Paths)
+		}
+		if st.FeedbackSent != 0 {
+			t.Errorf("FeedbackSent = %d after a keepalive on a closed endpoint, want 0", st.FeedbackSent)
 		}
 	})
 }

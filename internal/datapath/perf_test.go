@@ -256,21 +256,21 @@ func TestBatchedFallbackDifferential(t *testing.T) {
 		t.Skip("batched syscalls unavailable on this platform")
 	}
 	const n = 200
-	batched := DefaultConfig()
-	fallback := DefaultConfig()
-	fallback.NoBatchSyscalls = true
-
-	gotB := runTransfer(t, batched, n)
-	gotF := runTransfer(t, fallback, n)
-	for i := 0; i < n; i++ {
-		want := seqPayload(i, 600)
-		if string(gotB[i]) != string(want) {
-			t.Fatalf("batched payload %d corrupted", i)
+	var ref map[int][]byte // the first mode's delivery
+	forIOModes(t, func(t *testing.T, cfg Config) {
+		got := runTransfer(t, cfg, n)
+		for i := 0; i < n; i++ {
+			if string(got[i]) != string(seqPayload(i, 600)) {
+				t.Fatalf("payload %d corrupted", i)
+			}
+			if ref != nil && string(got[i]) != string(ref[i]) {
+				t.Fatalf("payload %d differs from the %s mode's", i, ioModes[0].name)
+			}
 		}
-		if string(gotB[i]) != string(gotF[i]) {
-			t.Fatalf("batched and fallback payloads differ at %d", i)
+		if ref == nil {
+			ref = got
 		}
-	}
+	})
 }
 
 // TestBatchedFallbackInterop crosses the two I/O paths on one wire: a
@@ -329,39 +329,29 @@ func TestBatchedFallbackInterop(t *testing.T) {
 // --- zero-allocation contracts ---
 
 func TestSteadyStateSendZeroAlloc(t *testing.T) {
-	for _, mode := range []struct {
-		name    string
-		noBatch bool
-	}{{"batched", false}, {"fallback", true}} {
-		if !batchSyscallsAvailable && !mode.noBatch {
-			continue
+	forIOModes(t, func(t *testing.T, cfg Config) {
+		a, b := pairCfg(t, cfg)
+		b.SetOnRecv(func([]byte) {})
+		payload := make([]byte, 512)
+		for i := 0; i < 100; i++ { // warm rings, WRR, flowlet state
+			if err := a.Send(payload); err != nil {
+				t.Fatal(err)
+			}
 		}
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.NoBatchSyscalls = mode.noBatch
-			a, b := pairCfg(t, cfg)
-			b.SetOnRecv(func([]byte) {})
-			payload := make([]byte, 512)
-			for i := 0; i < 100; i++ { // warm rings, WRR, flowlet state
-				if err := a.Send(payload); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if n := testing.AllocsPerRun(500, func() { a.Send(payload) }); n != 0 {
-				t.Errorf("steady-state Send allocates %v/op, contract is 0", n)
-			}
-			if n := testing.AllocsPerRun(500, func() { a.Enqueue(payload) }); n != 0 {
-				t.Errorf("steady-state Enqueue allocates %v/op, contract is 0", n)
-			}
+		if n := testing.AllocsPerRun(500, func() { a.Send(payload) }); n != 0 {
+			t.Errorf("steady-state Send allocates %v/op, contract is 0", n)
+		}
+		if n := testing.AllocsPerRun(500, func() { a.Enqueue(payload) }); n != 0 {
+			t.Errorf("steady-state Enqueue allocates %v/op, contract is 0", n)
+		}
+		a.Flush()
+		if n := testing.AllocsPerRun(500, func() {
+			a.Enqueue(payload)
 			a.Flush()
-			if n := testing.AllocsPerRun(500, func() {
-				a.Enqueue(payload)
-				a.Flush()
-			}); n != 0 {
-				t.Errorf("steady-state Enqueue+Flush allocates %v/op, contract is 0", n)
-			}
-		})
-	}
+		}); n != 0 {
+			t.Errorf("steady-state Enqueue+Flush allocates %v/op, contract is 0", n)
+		}
+	})
 }
 
 func TestSteadyStateReceiveZeroAlloc(t *testing.T) {

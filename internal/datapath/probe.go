@@ -53,9 +53,12 @@ func (e *Endpoint) ProbePaths() {
 		e.probes[e.probeSeq] = probeState{port: port, sentAt: now}
 	}
 	e.probeMu.Unlock()
-	e.probesSent.Add(int64(len(e.ports)))
 	for i, port := range e.ports {
-		e.transmit(port, seqs[i], wire.Feedback{}, nil, shimFlagProbe)
+		// Counted only once on a socket, like Sent. A probe that fails to
+		// send stays registered until a later call prunes it.
+		if e.transmit(port, seqs[i], wire.Feedback{}, nil, shimFlagProbe) == nil {
+			e.probesSent.Add(1)
+		}
 	}
 }
 

@@ -53,6 +53,29 @@ func (r *recorder) Stop() error {
 	return r.stopErr
 }
 
+// blocker is a Component whose Start (when inStart) or Stop blocks until
+// release is closed.
+type blocker struct {
+	release chan struct{}
+	inStart bool
+}
+
+func (b *blocker) Init(context.Context) error { return nil }
+
+func (b *blocker) Start(context.Context) error {
+	if b.inStart {
+		<-b.release
+	}
+	return nil
+}
+
+func (b *blocker) Stop() error {
+	if !b.inStart {
+		<-b.release
+	}
+	return nil
+}
+
 func join(ss []string) string { return strings.Join(ss, " ") }
 
 func TestOrderedInitStartReverseStop(t *testing.T) {
@@ -166,7 +189,7 @@ func TestStopTimeoutNamesComponentAndMovesOn(t *testing.T) {
 	m := New()
 	m.StopTimeout = 50 * time.Millisecond
 	release := make(chan struct{})
-	stuck := &Fn{StopFn: func() error { <-release; return nil }}
+	stuck := &blocker{release: release}
 	a := &recorder{name: "a", log: log}
 	m.Add("a", a)
 	m.Add("stuck", stuck)
@@ -193,51 +216,10 @@ func TestStartTimeout(t *testing.T) {
 	m.StartTimeout = 50 * time.Millisecond
 	release := make(chan struct{})
 	defer close(release)
-	m.Add("slow", &Fn{StartFn: func(context.Context) error { <-release; return nil }})
+	m.Add("slow", &blocker{release: release, inStart: true})
 	err := m.Start(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "start slow: timed out") {
 		t.Fatalf("err = %v, want start timeout", err)
-	}
-}
-
-func TestReadyAggregation(t *testing.T) {
-	m := New()
-	readyErr := errors.New("no remote yet")
-	var gate atomic.Pointer[error]
-	gate.Store(&readyErr)
-	m.Add("tunnel", &Fn{ReadyFn: func() error {
-		if e := gate.Load(); e != nil {
-			return *e
-		}
-		return nil
-	}})
-	m.Add("plain", &recorder{name: "plain", log: &eventLog{}})
-
-	if err := m.Ready(); err == nil {
-		t.Error("ready before start")
-	}
-	if err := m.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Ready(); err == nil || !strings.Contains(err.Error(), "no remote yet") {
-		t.Errorf("ready = %v, want tunnel unready", err)
-	}
-	gate.Store(nil)
-	if err := m.Ready(); err != nil {
-		t.Errorf("ready = %v after gate cleared", err)
-	}
-	m.Stop()
-	if err := m.Ready(); err == nil {
-		t.Error("ready after stop")
-	}
-}
-
-func TestHealthyAggregation(t *testing.T) {
-	m := New()
-	m.Add("ok", &Fn{})
-	m.Add("sick", &Fn{HealthyFn: func() error { return errors.New("degraded") }})
-	if err := m.Healthy(); err == nil || !strings.Contains(err.Error(), "sick: degraded") {
-		t.Errorf("healthy = %v, want sick component named", err)
 	}
 }
 

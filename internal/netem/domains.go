@@ -42,9 +42,6 @@ func (t *Topology) addDomainPool() *packet.Pool {
 	return p
 }
 
-// Sharded reports whether this topology was built across event domains.
-func (t *Topology) Sharded() bool { return t.eng != nil }
-
 // Engine returns the engine a sharded topology runs on (nil otherwise).
 func (t *Topology) Engine() *sim.Engine { return t.eng }
 
@@ -56,14 +53,6 @@ func (t *Topology) Pools() []*packet.Pool {
 		return []*packet.Pool{t.pool}
 	}
 	return t.pools
-}
-
-// NodePool returns the pool owning node id's packets.
-func (t *Topology) NodePool(id packet.NodeID) *packet.Pool {
-	if t.eng == nil {
-		return t.pool
-	}
-	return t.nodePool[id]
 }
 
 // NodeDomain returns the event domain owning node id, or nil on a

@@ -3,8 +3,8 @@
 // encapsulation header the hypervisor adds, and optional telemetry
 // metadata (INT, CONGA).
 //
-// The simulator moves packets as structs for speed; the byte-level codecs in
-// internal/wire mirror these fields one-to-one for the real datapath.
+// The simulator moves packets as structs for speed; the real datapath carries
+// the same Clove feedback fields in the byte-level shim of internal/wire.
 //
 // # Packet ownership and Release
 //

@@ -154,9 +154,6 @@ func (e *Engine) NumDomains() int { return len(e.domains) }
 // Domain returns the i-th domain.
 func (e *Engine) Domain(i int) *Domain { return e.domains[i] }
 
-// Domains returns all domains in creation order (read-only).
-func (e *Engine) Domains() []*Domain { return e.domains }
-
 // Processed sums fired events across all domains.
 func (e *Engine) Processed() uint64 {
 	var n uint64

@@ -210,15 +210,6 @@ func (s *Simulator) fire() {
 // per-event audits; nil (the default) costs one predictable branch per event.
 func (s *Simulator) SetEventHook(fn func()) { s.onEvent = fn }
 
-// Step fires the single next event. It reports false when the queue is empty.
-func (s *Simulator) Step() bool {
-	if len(s.heap) == 0 {
-		return false
-	}
-	s.fire()
-	return true
-}
-
 // The three run loops are written out directly rather than sharing a
 // continue-predicate closure: the predicate was an indirect call per fired
 // event, measurable on the hot path (the dispatch loop is otherwise just a

@@ -89,10 +89,9 @@ func (t *Tracer) exportMetrics(dir string) error {
 		value string
 	}
 	var ms []metric
-	t.reg.VisitSorted(
-		func(c *Counter) { ms = append(ms, metric{c.Name(), strconv.FormatInt(c.Value(), 10)}) },
-		func(g *Gauge) { ms = append(ms, metric{g.Name(), formatFloat(g.Value())}) },
-	)
+	t.reg.VisitSorted(func(c *Counter) {
+		ms = append(ms, metric{c.Name(), strconv.FormatInt(c.Value(), 10)})
+	})
 	for _, d := range []struct {
 		name    string
 		dropped int64

@@ -26,7 +26,6 @@ func TestExportWritesEveryStreamInBothFormats(t *testing.T) {
 	tr.Flowlet(13, flow, 2, 7001, 12, 17520, 150_000)
 	tr.FCT(14, 1, 2, 100_000, 1_000_000)
 	tr.Counter("netem.ecn_marks").Add(2)
-	tr.Gauge("run.load").Set(0.7)
 
 	dir := t.TempDir()
 	if err := tr.Export(dir); err != nil {
@@ -78,7 +77,7 @@ func TestExportWritesEveryStreamInBothFormats(t *testing.T) {
 		t.Errorf("retx.jsonl missing kinds:\n%s", retx)
 	}
 	metrics, _ := os.ReadFile(filepath.Join(dir, "metrics.csv"))
-	for _, want := range []string{"netem.ecn_marks,2", "run.load,0.7", "telemetry.dropped.fct,0"} {
+	for _, want := range []string{"netem.ecn_marks,2", "telemetry.dropped.fct,0"} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics.csv missing %q:\n%s", want, metrics)
 		}
@@ -96,7 +95,6 @@ func TestExportIsByteStableAcrossCalls(t *testing.T) {
 			tr.Retransmit(sim.Time(i), flow, int64(i)*1460, RetxKind(i%2))
 		}
 		tr.Counter("a").Add(5)
-		tr.Gauge("b").Set(1.0 / 3.0)
 		return tr
 	}
 	dirA, dirB := t.TempDir(), t.TempDir()

@@ -1,7 +1,7 @@
 // Package telemetry is the opt-in metrics and tracing subsystem. It has two
 // halves:
 //
-//   - A counter/gauge Registry. Components resolve typed handles by name at
+//   - A counter Registry. Components resolve typed handles by name at
 //     wiring time (SetTrace on a link, a sender, a vswitch); the hot path
 //     then touches only the handle pointer — no map lookup, no interface
 //     dispatch. Handles are nil-safe: with telemetry disabled every handle
@@ -55,43 +55,12 @@ func (c *Counter) Name() string {
 	return c.name
 }
 
-// Gauge is a last-value-wins run-level metric.
-type Gauge struct {
-	name string
-	v    float64
-}
-
-// Set records the gauge value. Safe on a nil (disabled) handle.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-}
-
-// Value returns the last set value (0 on a nil handle).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
-// Name returns the registry name ("" on a nil handle).
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
-}
-
-// Registry owns the named counters and gauges of one run. Lookup happens at
+// Registry owns the named counters of one run. Lookup happens at
 // wiring time only; the same name always resolves to the same handle, so
 // components sharing a name (every link's ECN-mark counter, say) aggregate
 // into one metric.
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 }
 
 // Counter resolves (creating on first use) the counter named name.
@@ -107,36 +76,15 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge resolves (creating on first use) the gauge named name.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r.gauges == nil {
-		r.gauges = map[string]*Gauge{}
-	}
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{name: name}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// VisitSorted calls the callbacks for every counter and gauge in ascending
-// name order (export and tests; the order makes output deterministic).
-func (r *Registry) VisitSorted(counter func(*Counter), gauge func(*Gauge)) {
+// VisitSorted calls visit for every counter in ascending name order (export
+// and tests; the order makes output deterministic).
+func (r *Registry) VisitSorted(visit func(*Counter)) {
 	names := make([]string, 0, len(r.counters))
 	for n := range r.counters {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		counter(r.counters[n])
-	}
-	names = names[:0]
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		gauge(r.gauges[n])
+		visit(r.counters[n])
 	}
 }

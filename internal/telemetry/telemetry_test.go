@@ -19,11 +19,6 @@ func TestRegistryCreateOrGet(t *testing.T) {
 	if c1.Value() != 4 {
 		t.Errorf("counter = %d, want 4", c1.Value())
 	}
-	g := r.Gauge("g")
-	g.Set(1.5)
-	if r.Gauge("g").Value() != 1.5 {
-		t.Errorf("gauge = %v, want 1.5", g.Value())
-	}
 }
 
 func TestRegistryVisitSortedOrder(t *testing.T) {
@@ -31,39 +26,29 @@ func TestRegistryVisitSortedOrder(t *testing.T) {
 	r.Counter("z")
 	r.Counter("a")
 	r.Counter("m")
-	r.Gauge("k")
-	r.Gauge("b")
-	var cs, gs []string
-	r.VisitSorted(
-		func(c *Counter) { cs = append(cs, c.Name()) },
-		func(g *Gauge) { gs = append(gs, g.Name()) },
-	)
+	var cs []string
+	r.VisitSorted(func(c *Counter) { cs = append(cs, c.Name()) })
 	wantC := []string{"a", "m", "z"}
-	wantG := []string{"b", "k"}
+	if len(cs) != len(wantC) {
+		t.Fatalf("counters visited as %v, want %v", cs, wantC)
+	}
 	for i, n := range wantC {
 		if cs[i] != n {
 			t.Fatalf("counters visited as %v, want %v", cs, wantC)
-		}
-	}
-	for i, n := range wantG {
-		if gs[i] != n {
-			t.Fatalf("gauges visited as %v, want %v", gs, wantG)
 		}
 	}
 }
 
 func TestNilHandlesAndNilTracerAreNoOps(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	c.Add(1)
 	c.Inc()
-	g.Set(2)
-	if c.Value() != 0 || g.Value() != 0 {
+	if c.Value() != 0 {
 		t.Error("nil handle returned nonzero value")
 	}
 
 	var tr *Tracer
-	if tr.Counter("x") != nil || tr.Gauge("x") != nil || tr.Registry() != nil {
+	if tr.Counter("x") != nil || tr.Registry() != nil {
 		t.Error("nil tracer resolved a non-nil handle")
 	}
 	flow := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}

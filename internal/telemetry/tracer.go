@@ -206,15 +206,6 @@ func (t *Tracer) Counter(name string) *Counter {
 	return t.reg.Counter(name)
 }
 
-// Gauge resolves a typed gauge handle by name at wiring time (nil handle on
-// a nil tracer).
-func (t *Tracer) Gauge(name string) *Gauge {
-	if t == nil {
-		return nil
-	}
-	return t.reg.Gauge(name)
-}
-
 // Registry exposes the run's metric registry (export, tests).
 func (t *Tracer) Registry() *Registry {
 	if t == nil {

@@ -1,9 +1,23 @@
+// Package wire is the byte-level codec for the one header Clove rewrites on
+// a real network: the 18-byte STT-like shim that the userspace datapath in
+// internal/datapath places between a one-byte fabric prefix and the tenant
+// payload of each kernel UDP datagram. The shim's context bits carry the reflected path feedback
+// (paper Secs. 3-4); the simulator mirrors the same fields as structs.
+//
+// Marshal/Unmarshal are allocation-light and validate lengths defensively:
+// truncated input returns ErrTruncated, never panics.
 package wire
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"errors"
+)
 
-// SttShimLen is the length of the STT-like shim header that follows the
-// outer TCP header. Its layout mirrors the fields the paper's Fig. 3 relies
+// ErrTruncated is returned when the input is shorter than a shim.
+var ErrTruncated = errors.New("wire: truncated packet")
+
+// SttShimLen is the length of the STT-like shim header (in STT proper it
+// follows the outer TCP header). Its layout mirrors the fields the paper's Fig. 3 relies
 // on: a flags byte, the tenant VLAN/context area, and — crucially for Clove
 // — a 64-bit context word whose reserved bits carry the reflected path
 // feedback (observed source port, an ECN-seen bit, and a quantized path
@@ -120,39 +134,3 @@ func quantizeUtil(u float64) uint8 {
 }
 
 func dequantizeUtil(q uint8) float64 { return float64(q) / 255 }
-
-// VxlanHeaderLen is the fixed VXLAN header length (RFC 7348 layout).
-const VxlanHeaderLen = 8
-
-// Vxlan is a VXLAN header; Clove in a UDP-based overlay steers paths with
-// the outer UDP source port, and this implementation additionally uses the
-// reserved bytes the way STT uses its context field (a documented deviation
-// from RFC 7348, required because VXLAN has no context bits of its own).
-type Vxlan struct {
-	VNI      uint32
-	Reserved uint8 // low reserved byte, used for the feedback ECN bit
-}
-
-// Marshal appends the 8-byte header to b.
-func (v *Vxlan) Marshal(b []byte) []byte {
-	off := len(b)
-	b = append(b, make([]byte, VxlanHeaderLen)...)
-	p := b[off:]
-	p[0] = 0x08 // I flag: VNI valid
-	binary.BigEndian.PutUint32(p[4:], v.VNI<<8)
-	p[7] = v.Reserved
-	return b
-}
-
-// Unmarshal parses the header and returns bytes consumed.
-func (v *Vxlan) Unmarshal(b []byte) (int, error) {
-	if len(b) < VxlanHeaderLen {
-		return 0, ErrTruncated
-	}
-	if b[0]&0x08 == 0 {
-		return 0, ErrBadVersion
-	}
-	v.VNI = binary.BigEndian.Uint32(b[4:]) >> 8
-	v.Reserved = b[7]
-	return VxlanHeaderLen, nil
-}
